@@ -28,7 +28,6 @@ func main() {
 	fs := flag.NewFlagSet("frieda-master", flag.ExitOnError)
 	addr := fs.String("addr", ":7001", "listen address")
 	input := fs.String("input", "", "input data directory (required)")
-	chunk := fs.Int("chunk", core.DefaultChunkSize, "file transfer chunk size in bytes")
 	recover := fs.Bool("recover", false, "requeue work lost to failures (future-work extension)")
 	retries := fs.Int("retries", 2, "max attempts per group under -recover")
 	verbose := fs.Bool("v", false, "verbose logging")
@@ -47,7 +46,6 @@ func main() {
 		Source:     catalog.NewDirSource(*input),
 		Transport:  transport.NewTCP(),
 		Addr:       *addr,
-		ChunkSize:  *chunk,
 		Recover:    *recover,
 		MaxRetries: *retries,
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -16,11 +15,6 @@ import (
 	"frieda/internal/strategy"
 	"frieda/internal/transport"
 )
-
-// DefaultChunkSize is the file-transfer chunk size. 256 KiB balances framing
-// overhead against scheduling granularity, like scp's internal buffering in
-// the paper's prototype.
-const DefaultChunkSize = 256 << 10
 
 // MasterConfig configures the execution-plane master.
 type MasterConfig struct {
@@ -40,8 +34,6 @@ type MasterConfig struct {
 	// ExpectedWorkers, when > 0, starts execution once that many workers
 	// registered (the controller's FORK_REMOTE_WORKERS can set it too).
 	ExpectedWorkers int
-	// ChunkSize overrides DefaultChunkSize.
-	ChunkSize int
 	// Recover enables the paper's future-work extension: failed tasks and
 	// the in-flight work of dead workers are requeued (up to MaxRetries per
 	// group) instead of abandoned.
@@ -70,8 +62,13 @@ type masterWorker struct {
 	slots       int
 	backlog     []int        // assigned, not yet dispatched (pre-partition)
 	outstanding map[int]bool // dispatched, not yet reported
-	dead        bool
-	draining    bool
+	// admitted is set once the registration ACK is sent and the common
+	// files are staged. Until then the worker neither counts toward the
+	// expected worker set nor receives strategy data or EXECUTE orders, so
+	// nothing can reach its connection ahead of the ACK.
+	admitted bool
+	dead     bool
+	draining bool
 }
 
 // Master is the execution-plane coordinator: it partitions input data,
@@ -84,7 +81,7 @@ type Master struct {
 	strat       strategy.Config
 	expected    int
 	workers     map[string]*masterWorker
-	order       []string
+	admitted    int // workers ever admitted; compared with expected
 	catalogue   *catalog.Catalog
 	groups      []partition.Group
 	queue       []int // pending groups (real-time) or requeues
@@ -133,9 +130,6 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 	}
 	if cfg.Transport == nil || cfg.Addr == "" {
 		return nil, errors.New("core: master needs a transport address")
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = DefaultChunkSize
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = 2
@@ -360,8 +354,6 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 		outstanding: make(map[int]bool),
 	}
 	m.workers[w.name] = w
-	m.order = append(m.order, w.name)
-	m.tmpl.Invalidate() // worker set changed
 	template := m.cfg.Template
 	common := m.strat.CommonFiles
 	m.mu.Unlock()
@@ -384,6 +376,19 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 				return
 			}
 		}
+	}
+
+	m.mu.Lock()
+	w.admitted = true
+	m.admitted++
+	m.tmpl.Invalidate() // worker set changed
+	finished := !m.finishedAt.IsZero()
+	m.mu.Unlock()
+	if finished {
+		// The run completed while this worker was being admitted; release it
+		// the way checkDone released the others. A failed send surfaces in
+		// the Recv loop below.
+		conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
 	}
 
 	m.maybeStart()
@@ -426,7 +431,7 @@ func (m *Master) handleWorker(conn transport.Conn, reg *protocol.Message) {
 // worker count has registered.
 func (m *Master) maybeStart() {
 	m.mu.Lock()
-	if m.started || m.expected <= 0 || len(m.workers) < m.expected {
+	if m.started || m.expected <= 0 || m.admitted < m.expected {
 		m.mu.Unlock()
 		return
 	}
@@ -498,12 +503,12 @@ func (m *Master) runStrategy() {
 	m.checkDone()
 }
 
-// liveWorkersLocked snapshots live workers sorted by name (deterministic
-// assignment regardless of registration races).
+// liveWorkersLocked snapshots admitted live workers sorted by name
+// (deterministic assignment regardless of registration races).
 func (m *Master) liveWorkersLocked() []*masterWorker {
 	out := make([]*masterWorker, 0, len(m.workers))
 	for _, w := range m.workers {
-		if !w.dead && !w.draining {
+		if w.admitted && !w.dead && !w.draining {
 			out = append(out, w)
 		}
 	}
@@ -628,7 +633,7 @@ type dispatchAction struct {
 // dispatch hands the worker as much work as its slots (× prefetch) allow.
 func (m *Master) dispatch(w *masterWorker) {
 	m.mu.Lock()
-	if !m.started || w.dead || w.draining {
+	if !m.started || !w.admitted || w.dead || w.draining {
 		m.mu.Unlock()
 		return
 	}
@@ -653,31 +658,11 @@ func (m *Master) dispatch(w *masterWorker) {
 		return
 	}
 	go func() {
-		if m.cfg.Batch {
-			// Batched control plane: stage every group's files, then one
-			// EXECUTE_BATCH carries the whole refill — one round-trip
-			// instead of one message per group.
-			specs := make([]protocol.ExecuteSpec, 0, len(actions))
-			for _, a := range actions {
-				if a.send {
-					for _, f := range a.group.Files {
-						if err := m.streamFile(w, f.Name); err != nil {
-							m.workerDied(w, err)
-							return
-						}
-					}
-				}
-				infos := make([]protocol.FileInfo, len(a.group.Files))
-				for i, f := range a.group.Files {
-					infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
-				}
-				specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
-			}
-			if err := conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs}); err != nil {
-				m.workerDied(w, err)
-			}
-			return
-		}
+		// Batched control plane: stage every group's files, then one
+		// EXECUTE_BATCH carries the whole refill — one round-trip instead of
+		// one message per group. Per-task, each group's EXECUTE follows its
+		// own files.
+		var specs []protocol.ExecuteSpec
 		for _, a := range actions {
 			if a.send {
 				for _, f := range a.group.Files {
@@ -691,9 +676,18 @@ func (m *Master) dispatch(w *masterWorker) {
 			for i, f := range a.group.Files {
 				infos[i] = protocol.FileInfo{Name: f.Name, Size: f.Size}
 			}
+			if m.cfg.Batch {
+				specs = append(specs, protocol.ExecuteSpec{GroupIndex: a.group.Index, Files: infos})
+				continue
+			}
 			if err := conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: a.group.Index, Files: infos}); err != nil {
 				m.workerDied(w, err)
 				return
+			}
+		}
+		if m.cfg.Batch {
+			if err := conn.Send(&protocol.Message{Type: protocol.TExecuteBatch, Executes: specs}); err != nil {
+				m.workerDied(w, err)
 			}
 		}
 	}()
@@ -746,8 +740,8 @@ func (m *Master) nextGroupLocked(w *masterWorker) (int, bool) {
 	return gi, true
 }
 
-// streamFile sends one source file to a worker in chunks, deduplicating
-// against the replica map.
+// streamFile sends one source file to a worker, deduplicating against the
+// replica map.
 func (m *Master) streamFile(w *masterWorker, name string) error {
 	m.mu.Lock()
 	if m.replicas.Has(name, w.name) {
@@ -755,10 +749,9 @@ func (m *Master) streamFile(w *masterWorker, name string) error {
 		return nil
 	}
 	// Claim before streaming so a concurrent dispatch does not double-send;
-	// the worker-side readiness gate orders execution after arrival.
+	// the worker-side in-flight gate orders execution after the last chunk.
 	m.replicas.Add(name, w.name)
 	m.tmpl.Invalidate() // a new replica can change a residency verdict
-	chunk := m.cfg.ChunkSize
 	m.mu.Unlock()
 
 	rc, err := m.cfg.Source.Open(name)
@@ -766,50 +759,16 @@ func (m *Master) streamFile(w *masterWorker, name string) error {
 		m.replicas.Remove(name, w.name)
 		return fmt.Errorf("open %s: %w", name, err)
 	}
-	defer rc.Close()
-	buf := make([]byte, chunk)
-	var offset int64
-	for {
-		n, rerr := rc.Read(buf)
-		if n > 0 {
-			last := errors.Is(rerr, io.EOF)
-			msg := &protocol.Message{
-				Type:     protocol.TFileData,
-				FileName: name,
-				Offset:   offset,
-				Data:     append([]byte(nil), buf[:n]...),
-				Last:     last,
-			}
-			if err := w.conn.Send(msg); err != nil {
-				m.replicas.Remove(name, w.name)
-				return err
-			}
-			offset += int64(n)
-			m.mu.Lock()
-			m.bytesMoved += int64(n)
-			m.mu.Unlock()
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				if n == 0 && offset == 0 {
-					// Empty file: a single empty last chunk announces it.
-					if err := w.conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: name, Last: true}); err != nil {
-						m.replicas.Remove(name, w.name)
-						return err
-					}
-				} else if n == 0 {
-					// Already sent everything but without Last; finish.
-					if err := w.conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: name, Offset: offset, Last: true}); err != nil {
-						m.replicas.Remove(name, w.name)
-						return err
-					}
-				}
-				return nil
-			}
-			m.replicas.Remove(name, w.name)
-			return rerr
-		}
+	sent, err := sendFile(w.conn, "", name, rc)
+	rc.Close()
+	m.mu.Lock()
+	m.bytesMoved += sent
+	if err != nil {
+		// Release the claim so a later dispatch streams the file again.
+		m.replicas.Remove(name, w.name)
 	}
+	m.mu.Unlock()
+	return err
 }
 
 // completeTask records a task outcome and re-dispatches.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -327,5 +328,154 @@ func TestOneToAllPivotTransferredOnce(t *testing.T) {
 	// Upper bound: pivot once per worker (2×1000) + six smalls (60).
 	if r.BytesMoved > 2*1000+6*10 {
 		t.Fatalf("BytesMoved = %d; pivot re-sent", r.BytesMoved)
+	}
+}
+
+// ackHoldTransport delays the registration ACK of one named worker until
+// release is closed, and reports on early every other message the master
+// sends that worker before the ACK.
+type ackHoldTransport struct {
+	transport.Transport
+	hold    string
+	pending chan struct{} // closed once the master is sending the held ACK
+	release chan struct{}
+	early   chan protocol.Type
+}
+
+type ackHoldListener struct {
+	transport.Listener
+	tr *ackHoldTransport
+}
+
+type ackHoldConn struct {
+	transport.Conn
+	tr    *ackHoldTransport
+	mu    sync.Mutex
+	name  string
+	acked bool
+}
+
+func (t *ackHoldTransport) Listen(addr string) (transport.Listener, error) {
+	l, err := t.Transport.Listen(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &ackHoldListener{Listener: l, tr: t}, nil
+}
+
+func (l *ackHoldListener) Accept() (transport.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &ackHoldConn{Conn: c, tr: l.tr}, nil
+}
+
+func (c *ackHoldConn) Recv() (*protocol.Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil && m.Type == protocol.TRegister {
+		c.mu.Lock()
+		c.name = m.Worker
+		c.mu.Unlock()
+	}
+	return m, err
+}
+
+func (c *ackHoldConn) Send(m *protocol.Message) error {
+	c.mu.Lock()
+	held := c.name == c.tr.hold && !c.acked
+	c.mu.Unlock()
+	if held && m.Type == protocol.TAck {
+		close(c.tr.pending)
+		<-c.tr.release
+		err := c.Conn.Send(m)
+		c.mu.Lock()
+		c.acked = true
+		c.mu.Unlock()
+		return err
+	}
+	if held {
+		select {
+		case c.tr.early <- m.Type: // the first violation is enough
+		default:
+		}
+	}
+	return c.Conn.Send(m)
+}
+
+// TestNoDataBeforeRegistrationAck holds one worker's registration ACK while
+// the other workers meet the expected count and run the job: nothing but the
+// ACK may reach the held worker first — no FILE_DATA, no EXECUTE — and the
+// job must not wait for it.
+func TestNoDataBeforeRegistrationAck(t *testing.T) {
+	tr := &ackHoldTransport{
+		Transport: transport.NewMem(nil),
+		hold:      "b",
+		pending:   make(chan struct{}),
+		release:   make(chan struct{}),
+		early:     make(chan protocol.Type, 1),
+	}
+	releaseAck := sync.OnceFunc(func() { close(tr.release) })
+	defer releaseAck()
+	src := sourceWithFiles(12, 10)
+	src.Put("db.bin", []byte(strings.Repeat("D", 300)))
+	strat := strategy.RealTimeRemote
+	strat.CommonFiles = []string{"db.bin"}
+	m, err := NewMaster(MasterConfig{Strategy: strat, Source: src, Transport: tr, Addr: "m", ExpectedWorkers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	go m.Serve(ctx)
+
+	var b transport.Conn
+	for b == nil {
+		if b, err = tr.Dial("m"); err != nil {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	defer b.Close()
+	if err := b.Send(&protocol.Message{Type: protocol.TRegister, Worker: "b", Cores: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-tr.pending // b is registered; its ACK is held
+	for _, name := range []string{"a", "c"} {
+		w, err := NewWorker(WorkerConfig{
+			Name: name, Cores: 1, Store: NewMemStore(), Program: echoProgram(),
+			Transport: tr, MasterAddr: "m",
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go w.Run(ctx)
+	}
+	select {
+	case typ := <-tr.early:
+		t.Fatalf("master sent %s to b before its registration ACK", typ)
+	case <-m.Done():
+	case <-ctx.Done():
+		t.Fatal("run did not finish without the held worker")
+	}
+	if r := m.Report(); r.Succeeded != 12 {
+		t.Fatalf("report = %+v", r)
+	}
+
+	releaseAck()
+	first, err := b.Recv()
+	if err != nil || first.Type != protocol.TAck || first.Error != "" {
+		t.Fatalf("b's first message = %+v, %v", first, err)
+	}
+	for {
+		msg, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if msg.Type == protocol.TExecute || msg.Type == protocol.TExecuteBatch {
+			t.Fatalf("finished run sent %s to a late worker", msg.Type)
+		}
+		if msg.Type == protocol.TNoMoreData {
+			break
+		}
 	}
 }

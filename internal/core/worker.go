@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -43,7 +42,7 @@ type Worker struct {
 	conn transport.Conn
 
 	mu            sync.Mutex
-	ready         map[string]bool // file -> fully received
+	inflight      map[string]bool // first chunk stored, Last not yet: partial
 	readyC        *sync.Cond
 	program       Program
 	tasks         chan Task
@@ -68,7 +67,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Transport == nil || cfg.MasterAddr == "" {
 		return nil, fmt.Errorf("core: worker %q has no master endpoint", cfg.Name)
 	}
-	w := &Worker{cfg: cfg, ready: make(map[string]bool)}
+	w := &Worker{cfg: cfg, inflight: make(map[string]bool)}
 	w.readyC = sync.NewCond(&w.mu)
 	return w, nil
 }
@@ -202,6 +201,13 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			// Informational: sizes of incoming files / the assigned
 			// partition. Payloads and execute orders follow.
 		case protocol.TFileData:
+			if !m.Last {
+				// Mark before the Append that makes the file visible, so
+				// no task reads it until the Last chunk lands.
+				w.mu.Lock()
+				w.inflight[m.FileName] = true
+				w.mu.Unlock()
+			}
 			if err := w.cfg.Store.Append(m.FileName, m.Offset, m.Data); err != nil {
 				w.conn.Send(&protocol.Message{
 					Type: protocol.TTaskStatus,
@@ -214,7 +220,7 @@ func (w *Worker) messageLoop(ctx context.Context) error {
 			}
 			if m.Last {
 				w.mu.Lock()
-				w.ready[m.FileName] = true
+				delete(w.inflight, m.FileName)
 				w.readyC.Broadcast()
 				w.mu.Unlock()
 			}
@@ -332,49 +338,24 @@ func (w *Worker) runOne(ctx context.Context, task Task) protocol.TaskResult {
 	return res
 }
 
-// sendOutput streams one stored file to the master as TFileData chunks.
+// sendOutput streams one stored file back to the master.
 func (w *Worker) sendOutput(name string) error {
 	rc, err := w.cfg.Store.Open(name)
 	if err != nil {
 		return err
 	}
 	defer rc.Close()
-	buf := make([]byte, DefaultChunkSize)
-	var offset int64
-	for {
-		n, rerr := rc.Read(buf)
-		if n > 0 {
-			last := errors.Is(rerr, io.EOF)
-			if err := w.conn.Send(&protocol.Message{
-				Type: protocol.TFileData, Worker: w.cfg.Name, FileName: name,
-				Offset: offset, Data: append([]byte(nil), buf[:n]...), Last: last,
-			}); err != nil {
-				return err
-			}
-			offset += int64(n)
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				if n != 0 {
-					return nil
-				}
-				return w.conn.Send(&protocol.Message{
-					Type: protocol.TFileData, Worker: w.cfg.Name, FileName: name,
-					Offset: offset, Last: true,
-				})
-			}
-			return rerr
-		}
-	}
+	_, err = sendFile(w.conn, w.cfg.Name, name, rc)
+	return err
 }
 
-// waitInputs blocks until every input is fully received (or already present
-// in the store, as with pre-placed local data).
+// waitInputs blocks until every input is in the store and not still
+// streaming in (pre-placed local data is never in flight).
 func (w *Worker) waitInputs(ctx context.Context, inputs []string) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for _, name := range inputs {
-		for !w.ready[name] && !w.cfg.Store.Has(name) {
+		for w.inflight[name] || !w.cfg.Store.Has(name) {
 			if w.closed {
 				return fmt.Errorf("core: connection closed awaiting input %q", name)
 			}

@@ -182,3 +182,53 @@ func TestWorkerNoProgramNoTemplate(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestTaskWaitsForLastChunk sends an EXECUTE for a file whose first chunk has
+// landed but whose Last chunk has not: the store already Has the file, yet
+// the task must wait for the whole of it. A second task on a complete file
+// paces the fake master: the remaining chunk goes out only after that task
+// reports, by which time the first task has long been dequeued.
+func TestTaskWaitsForLastChunk(t *testing.T) {
+	outputs := make(chan protocol.TaskResult, 2)
+	tr, addr := fakeMaster(t, func(conn transport.Conn) {
+		conn.Send(&protocol.Message{Type: protocol.TAck, Cores: 2})
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "g", Data: []byte("whole"), Last: true})
+		conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Data: []byte("head-")})
+		conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: 0, Files: []protocol.FileInfo{{Name: "f"}}})
+		conn.Send(&protocol.Message{Type: protocol.TExecute, GroupIndex: 1, Files: []protocol.FileInfo{{Name: "g"}}})
+		for reported := 0; reported < 2; {
+			m, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			if m.Type != protocol.TTaskStatus {
+				continue
+			}
+			outputs <- m.Result
+			reported++
+			if m.Result.GroupIndex == 1 {
+				conn.Send(&protocol.Message{Type: protocol.TFileData, FileName: "f", Offset: 5, Data: []byte("tail"), Last: true})
+			}
+		}
+		conn.Send(&protocol.Message{Type: protocol.TNoMoreData})
+	})
+	w := newTestWorker(t, tr, addr, FuncProgram(func(_ context.Context, task Task) (string, error) {
+		return readAll(task.Store, task.Inputs[0]), nil
+	}))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := map[int]string{0: "head-tail", 1: "whole"}
+	for range want {
+		select {
+		case res := <-outputs:
+			if !res.OK || res.Output != want[res.GroupIndex] {
+				t.Fatalf("group %d: ok=%v output=%q, want %q", res.GroupIndex, res.OK, res.Output, want[res.GroupIndex])
+			}
+		case <-ctx.Done():
+			t.Fatal("missing task status")
+		}
+	}
+}
